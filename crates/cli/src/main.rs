@@ -32,6 +32,7 @@
 //!   all         everything above
 //!   lint        determinism & hermeticity linter (see crates/smi-lint)
 //!   fsck        audit/repair the shared result store (see fsckcmd)
+//!   help        print the usage and exit 0 (also `--help` / `-h`)
 //! ```
 //!
 //! Every experiment runs through the parallel runner: `--jobs N` fans
@@ -876,10 +877,12 @@ fn cmd_all(args: &Args) {
     }
 }
 
+const USAGE: &str = "usage: smi-lab <table1..table5|figure1|figure2|detect|bits|attribution|absorption|unixbench|scale|variance|energy|mops|noise|report|all|lint|bench|fsck> [--reps N] [--seed N] [--quick] [--validate] [--jobs N] [--resume] [--no-cache] [--cache-dir DIR] [--records FILE] [--csv DIR] [--svg DIR] [--json DIR] [--noise SPEC] [--isolate] [--deadline-units N] [--isolate-watchdog-ms N] [--vfs-faults SPEC] [--adaptive] [--max-reps N] [--ci-target F]";
+
 fn main() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
     // `smi-lab lint` has its own flag grammar; route it straight to the
     // shared engine in crates/smi-lint before the experiment arg parser.
-    let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.first().map(String::as_str) == Some("lint") {
         std::process::exit(smi_lint::run_cli(&argv[1..]));
     }
@@ -891,11 +894,18 @@ fn main() {
     if argv.first().map(String::as_str) == Some("fsck") {
         std::process::exit(fsckcmd::run_cli(&argv[1..]));
     }
+    // Asking for help is not a usage error: usage on stdout, exit 0.
+    if argv.first().map(String::as_str) == Some("help")
+        || argv.iter().any(|a| a == "--help" || a == "-h")
+    {
+        println!("{USAGE}");
+        return;
+    }
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("usage: smi-lab <table1..table5|figure1|figure2|detect|bits|attribution|absorption|unixbench|scale|variance|energy|mops|noise|report|all|lint|bench|fsck> [--reps N] [--seed N] [--quick] [--validate] [--jobs N] [--resume] [--no-cache] [--cache-dir DIR] [--records FILE] [--csv DIR] [--svg DIR] [--json DIR] [--noise SPEC] [--isolate] [--deadline-units N] [--isolate-watchdog-ms N] [--vfs-faults SPEC] [--adaptive] [--max-reps N] [--ci-target F]");
+            eprintln!("{USAGE}");
             std::process::exit(2);
         }
     };

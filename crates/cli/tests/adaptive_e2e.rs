@@ -11,23 +11,9 @@
 //!   degrades, then `--resume` heals it byte-identical to a fault-free
 //!   run — early-stopping decisions replay exactly from the cache.
 
-use std::path::{Path, PathBuf};
-use std::process::Command;
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("smi-lab-adapt-e2e-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create tmp dir");
-    dir
-}
-
-fn smi_lab(args: &[&str]) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_smi-lab")).args(args).output().expect("run smi-lab")
-}
-
-fn read(path: &Path) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
-}
+mod common;
+use common::{read, smi_lab, tmp_dir};
+use std::path::Path;
 
 /// FNV-1a 64-bit, re-derived here (as in the root determinism suite) so
 /// the digest does not depend on any crate's hash internals staying put.

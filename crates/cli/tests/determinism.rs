@@ -5,28 +5,17 @@
 //!   JSONL records (and identical stdout);
 //! * a warm re-run satisfies every cell from cache, still byte-identical.
 
-use std::path::{Path, PathBuf};
-use std::process::Command;
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("smi-lab-cli-test-{}-{}", std::process::id(), tag));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create tmp dir");
-    dir
-}
+mod common;
+use common::{read, tmp_dir};
 
 fn smi_lab(args: &[&str]) -> std::process::Output {
-    let out = Command::new(env!("CARGO_BIN_EXE_smi-lab")).args(args).output().expect("run smi-lab");
+    let out = common::smi_lab(args);
     assert!(
         out.status.success(),
         "smi-lab {args:?} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     out
-}
-
-fn read(path: &Path) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
 #[test]

@@ -10,23 +10,9 @@
 //! * a held campaign lock makes a concurrent duplicate invocation fail
 //!   fast (exit 2) without touching the journal.
 
-use std::path::{Path, PathBuf};
-use std::process::Command;
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("smi-lab-iso-e2e-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create tmp dir");
-    dir
-}
-
-fn smi_lab(args: &[&str]) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_smi-lab")).args(args).output().expect("run smi-lab")
-}
-
-fn read(path: &Path) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
-}
+mod common;
+use common::{read, smi_lab, tmp_dir};
+use std::path::Path;
 
 #[test]
 fn isolated_records_match_in_process_byte_for_byte() {

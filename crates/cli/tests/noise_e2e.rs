@@ -9,24 +9,9 @@
 //! * serial and parallel runs of the full fixed-budget study agree
 //!   byte-for-byte.
 
-use std::path::{Path, PathBuf};
-use std::process::Command;
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("smi-lab-noise-test-{}-{}", std::process::id(), tag));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create tmp dir");
-    dir
-}
-
-fn smi_lab(args: &[&str]) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_smi-lab")).args(args).output().expect("run smi-lab")
-}
-
-fn read(path: &Path) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
-}
+mod common;
+use common::{read, smi_lab, tmp_dir};
+use std::path::Path;
 
 #[test]
 fn invalid_noise_spec_quarantines_with_a_typed_reason() {

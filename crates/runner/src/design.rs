@@ -10,10 +10,10 @@
 //!   repetitions, at most `max_reps`, stop as soon as the Student-t
 //!   95 % confidence interval on the mean is relatively tighter than
 //!   `target_rel_halfwidth`;
-//! * [`run_adaptive`] is the **single** sampling loop both execution
-//!   paths share. It runs *inside* the cell's work closure, so the
-//!   in-process pool and the `--isolate` worker subprocess execute the
-//!   identical decision sequence by construction and cannot drift;
+//! * [`run_adaptive`] is the **single** sampling loop both executors
+//!   share. It runs *inside* the cell's work closure, so a thread slot
+//!   and an `--isolate` worker subprocess execute the identical
+//!   decision sequence by construction and cannot drift;
 //! * the loop's verdict ([`AdaptiveRun`]) is rendered into the cell
 //!   payload's conventional `"stats"` object, and
 //!   [`campaign_stats`] folds those per-cell blocks into the manifest's
@@ -148,10 +148,10 @@ fn finite_or_null(x: f64) -> Json {
 /// identity, never from how many repetitions ran before) until the
 /// t-based CI meets the design target or `max_reps` is spent.
 ///
-/// This function is the shared sampling loop of the tentpole: it is
-/// called from inside the cell's work closure, so the in-process pool
-/// and the `--isolate` worker execute byte-identical decision sequences
-/// — there is no second implementation to drift.
+/// This function is the shared sampling loop: it is called from inside
+/// the cell's work closure, so a thread slot and an `--isolate` worker
+/// execute byte-identical decision sequences — there is no second
+/// implementation to drift.
 ///
 /// `bootstrap_rng` seeds the percentile bootstrap on the final sample;
 /// pass a generator derived from the cell identity.

@@ -202,13 +202,7 @@ mod tests {
     use super::*;
 
     fn tmp_journal(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "smi-lab-journal-test-{}-{}",
-            std::process::id(),
-            tag
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        journal_path(&dir, "camp")
+        journal_path(&crate::testdir::tmp_dir(tag), "camp")
     }
 
     fn key(n: u64) -> CacheKey {

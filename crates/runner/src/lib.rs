@@ -12,8 +12,10 @@
 //!   its identity (`SimRng::from_path`), payloads are bit-identical
 //!   regardless of scheduling — `--jobs 8` equals `--jobs 1` byte for
 //!   byte.
-//! * **Work-stealing pool** ([`pool`]) — fixed job set over
-//!   `std::thread`, results returned in submission order.
+//! * **One dispatch loop** ([`supervisor`]) — N slot threads drain one
+//!   queue of cells: look up the store, run misses on the slot's
+//!   executor, and settle every outcome (retry, quarantine, journal,
+//!   store publish) in one place. Results land in submission order.
 //! * **Result cache** ([`cache`]) — each completed cell persists as one
 //!   JSON line under `results/cache/`, keyed by a content hash of the
 //!   cell identity and a code-version tag. Re-runs and `--resume` skip
@@ -37,8 +39,8 @@
 //!   cell-latency histogram, and an ETA on stderr, plus a
 //!   machine-readable run manifest.
 //! * **Process isolation** ([`supervisor`] / [`worker`] / [`proto`]) —
-//!   an opt-in execution mode where cells run in supervised worker
-//!   *subprocesses* over a length-prefixed JSON pipe protocol. A
+//!   an opt-in second executor of the same loop: cells run in supervised
+//!   worker *subprocesses* over a length-prefixed JSON pipe protocol. A
 //!   SIGKILLed, aborted, or hung worker never takes down the campaign:
 //!   its in-flight cell is journaled, deterministically reassigned up to
 //!   the same attempt budget, and finally quarantined with a
@@ -67,7 +69,6 @@ pub mod chaos;
 pub mod design;
 pub mod journal;
 pub mod lockfile;
-pub mod pool;
 pub mod proto;
 pub mod store;
 pub mod supervisor;
@@ -190,7 +191,7 @@ pub struct Runner {
     pub perf_probe: Option<PerfProbe>,
     /// Process-isolated execution (`--isolate`): when set, cells run in
     /// supervised worker *subprocesses* instead of in-process threads —
-    /// see [`supervisor`]. `None` keeps the classic in-process pool.
+    /// see [`supervisor`]. `None` runs cells on the slot threads.
     pub isolate: Option<supervisor::IsolateConfig>,
     /// The filesystem handle every byte this campaign persists flows
     /// through. [`vfs::Vfs::real`] in production; the durability suite
@@ -289,8 +290,8 @@ impl Runner {
             (None, None)
         };
         // Deterministic dispatch shuffle (see `Runner::dispatch_shuffle`):
-        // permute the cells handed to either execution path, remember
-        // the permutation, and restore submission order in the report.
+        // permute the cells handed to the dispatch loop, remember the
+        // permutation, and restore submission order in the report.
         let (cells, order) = match self.dispatch_shuffle {
             None => (cells, None),
             Some(seed) => {
@@ -306,10 +307,7 @@ impl Runner {
                 (shuffled, Some(order))
             }
         };
-        let mut report = match &self.isolate {
-            Some(cfg) => supervisor::run_isolated(self, cfg, label, cells, lock_broken),
-            None => self.run_inner(label, cells, lock_broken),
-        };
+        let mut report = supervisor::run(self, label, cells, lock_broken);
         if let Some(order) = order {
             restore_submission_order(&mut report, &order);
         }
@@ -318,13 +316,12 @@ impl Runner {
 
     /// Open the shared store and journal for one campaign: replay
     /// intents, sweep orphans, truncate this label's torn journal tail,
-    /// and count prior completions. Shared verbatim by the in-process
-    /// pool and the isolated supervisor so the two startup paths can
-    /// never drift. Returns `None` store when the cache is off.
+    /// and count prior completions among the campaign's cell `keys`.
+    /// Returns `None` store when the cache is off.
     pub(crate) fn open_storage(
         &self,
         label: &str,
-        cells: &[Cell],
+        keys: &[cache::CacheKey],
         progress: &telemetry::Progress,
         lock_broken: Option<lockfile::BrokenLock>,
     ) -> (Option<store::Store>, Option<journal::Writer>, StorageAccount) {
@@ -339,13 +336,9 @@ impl Runner {
         let (store, open_stats) =
             store::Store::open(self.vfs.clone(), &self.cache_dir, label, &self.code_version);
         let prior = journal::Journal::load(&journal_path);
-        let journal_prior_ok = cells
-            .iter()
-            .filter(|c| {
-                prior.status(cache::cell_key(&self.code_version, &c.spec))
-                    == Some(journal::Status::Ok)
-            })
-            .count() as u64;
+        let journal_prior_ok =
+            keys.iter().filter(|&&key| prior.status(key) == Some(journal::Status::Ok)).count()
+                as u64;
         let writer = match journal::Writer::open_with(&journal_path, self.vfs.clone()) {
             Ok(w) => Some(w),
             Err(_) => {
@@ -364,158 +357,10 @@ impl Runner {
         };
         (Some(store), writer, account)
     }
-
-    fn run_inner(
-        &self,
-        label: &str,
-        cells: Vec<Cell>,
-        lock_broken: Option<lockfile::BrokenLock>,
-    ) -> RunReport {
-        let progress = telemetry::Progress::new(cells.len() as u64, self.verbose)
-            .with_disk_fault_limit(self.disk_fault_limit);
-        let started = Stopwatch::start();
-        let (store, writer, mut account) = self.open_storage(label, &cells, &progress, lock_broken);
-        let store = &store;
-        let writer = &writer;
-        let jobs: Vec<_> = cells
-            .into_iter()
-            .map(|cell| {
-                let progress = &progress;
-                move || self.run_cell(cell, progress, store.as_ref(), writer.as_ref())
-            })
-            .collect();
-        let outcomes = pool::run_jobs(jobs, self.jobs);
-        if let Some(store) = store {
-            account.store = store.counters();
-            // Bookkeeping append failures are disk faults too: fold them
-            // into the counted store errors so they degrade the run.
-            for _ in 0..account.store.index_errors {
-                progress.note_store_error();
-            }
-        }
-        assemble_report(self, label, &progress, &started, account, outcomes, None)
-    }
-
-    fn run_cell(
-        &self,
-        cell: Cell,
-        progress: &telemetry::Progress,
-        store: Option<&store::Store>,
-        writer: Option<&journal::Writer>,
-    ) -> CellOutcome {
-        let started = Stopwatch::start();
-        let key = cache::cell_key(&self.code_version, &cell.spec);
-        let journal_completion = |status: journal::Status, attempts: u32| {
-            if let Some(w) = writer {
-                if progress.storage_bypass() {
-                    progress.note_bypassed_write();
-                } else if w.append(key, &cell.spec.cell, status, attempts).is_err() {
-                    progress.note_store_error();
-                }
-            }
-        };
-        if self.cache_mode == CacheMode::ReadWrite {
-            if let Some(store) = store {
-                match store.load(key, &cell.spec) {
-                    cache::Lookup::Hit(payload) => {
-                        let micros = started.elapsed_micros();
-                        progress.cell_done(&cell.spec.cell, micros, true);
-                        journal_completion(journal::Status::Ok, 0);
-                        return CellOutcome {
-                            spec: cell.spec,
-                            key,
-                            result: Ok(CellValue { payload, cached: true, attempts: 0, micros }),
-                        };
-                    }
-                    cache::Lookup::Corrupt => progress.note_load_corruption(),
-                    cache::Lookup::Miss => {}
-                }
-            }
-        }
-        // Reset this worker thread's engine counters so whatever the
-        // cell is about to execute is attributed to it alone; the
-        // discarded remainder is work whose cell already harvested (or
-        // panicked, in which case its counts are noise anyway).
-        if let Some(probe) = &self.perf_probe {
-            let _ = probe();
-        }
-        let budget = self.max_attempts.max(1);
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            let work = &cell.work;
-            // AssertUnwindSafe: the closure is `Fn` over owned captures;
-            // on panic we discard nothing but the failed attempt itself,
-            // and the payload of a later successful attempt is a pure
-            // function of the cell identity.
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(work)) {
-                Ok(Ok(payload)) => {
-                    if let Some(store) = store {
-                        if progress.storage_bypass() {
-                            progress.note_bypassed_write();
-                        } else if store.put(key, &cell.spec, &payload).is_err() {
-                            progress.note_store_error();
-                        }
-                    }
-                    let micros = started.elapsed_micros();
-                    if let Some(probe) = &self.perf_probe {
-                        progress.note_engine(probe());
-                    }
-                    progress.cell_done(&cell.spec.cell, micros, false);
-                    journal_completion(journal::Status::Ok, attempt);
-                    return CellOutcome {
-                        spec: cell.spec,
-                        key,
-                        result: Ok(CellValue { payload, cached: false, attempts: attempt, micros }),
-                    };
-                }
-                Ok(Err(reason)) => {
-                    // The work rejected its own inputs with a structured
-                    // reason. That verdict is deterministic — quarantine
-                    // immediately, no retries.
-                    let micros = started.elapsed_micros();
-                    progress.cell_invalid(&cell.spec.cell, micros);
-                    journal_completion(journal::Status::Failed, attempt);
-                    return CellOutcome {
-                        spec: cell.spec,
-                        key,
-                        result: Err(CellError {
-                            message: reason_message(&reason),
-                            reason,
-                            kind: QuarantineKind::Invalid,
-                            attempts: attempt,
-                            micros,
-                        }),
-                    };
-                }
-                Err(panic_payload) => {
-                    if attempt < budget {
-                        progress.note_retry();
-                        continue;
-                    }
-                    let message = panic_message(panic_payload.as_ref());
-                    let micros = started.elapsed_micros();
-                    progress.cell_failed(&cell.spec.cell, micros);
-                    journal_completion(journal::Status::Failed, attempt);
-                    return CellOutcome {
-                        spec: cell.spec,
-                        key,
-                        result: Err(CellError {
-                            message,
-                            reason: Json::Null,
-                            kind: QuarantineKind::Panic,
-                            attempts: attempt,
-                            micros,
-                        }),
-                    };
-                }
-            }
-        }
-    }
 }
 
 /// Everything a campaign's storage startup and teardown accounted for,
-/// bundled so the two execution modes pass one value, not eight.
+/// bundled so the dispatch loop passes one value, not eight.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct StorageAccount {
     /// Orphaned temp files swept at startup, by area.
@@ -534,9 +379,7 @@ pub(crate) struct StorageAccount {
     pub store: store::StoreCounters,
 }
 
-/// Assemble the final [`RunReport`] from a drained campaign — shared by
-/// the in-process pool and the process-isolated supervisor so the two
-/// execution modes can never drift in how they account for a run.
+/// Assemble the final [`RunReport`] from a drained campaign.
 pub(crate) fn assemble_report(
     runner: &Runner,
     label: &str,
@@ -576,7 +419,7 @@ pub(crate) fn assemble_report(
         disk_fault_limit: runner.disk_fault_limit,
         wall_seconds: started.elapsed_seconds(),
         engine: progress.engine(),
-        exec_micros: progress.exec_micros_total(),
+        engine_micros: progress.engine_micros(),
         latency_histogram: progress.histogram(),
         p50_micros: progress.quantile_micros(0.50),
         p90_micros: progress.quantile_micros(0.90),
@@ -655,7 +498,7 @@ fn aborted_report(runner: &Runner, label: &str, held: &lockfile::LockHeld) -> Ru
         disk_fault_limit: runner.disk_fault_limit,
         wall_seconds: 0.0,
         engine: EnginePerf::default(),
-        exec_micros: 0,
+        engine_micros: 0,
         latency_histogram: Vec::new(),
         p50_micros: 0,
         p90_micros: 0,
@@ -691,6 +534,13 @@ impl std::fmt::Display for RunnerError {
 }
 
 impl std::error::Error for RunnerError {}
+
+/// Lock a mutex, recovering the data from a poisoned lock: a panic in
+/// one slot must not take the campaign down with a poisoned-lock panic
+/// of its own.
+pub(crate) fn lock_clean<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Render a caught panic payload (the `Box<dyn Any>` from
 /// `catch_unwind`) as the human-readable string carried by [`CellError`].
@@ -969,9 +819,10 @@ pub struct RunReport {
     /// Engine hot-path counters summed over executed cells — all zero
     /// unless a [`PerfProbe`] was installed on the runner.
     pub engine: EnginePerf,
-    /// Total executed (non-cached) cell wall time, in microseconds —
-    /// the denominator used for the manifest's ns/event figure.
-    pub exec_micros: u64,
+    /// Wall time of the executed cells whose probe harvested at least
+    /// one engine run, in microseconds — the denominator of the
+    /// manifest's ns/event figure.
+    pub engine_micros: u64,
     /// `(bucket_floor_micros, count)` latency histogram.
     pub latency_histogram: Vec<(u64, u64)>,
     /// Approximate median cell latency.
@@ -983,7 +834,7 @@ pub struct RunReport {
     /// Per-cell outcomes, in submission order.
     pub outcomes: Vec<CellOutcome>,
     /// Supervision accounting when the run executed process-isolated
-    /// (`None` for the in-process pool).
+    /// (`None` for thread slots).
     pub isolate: Option<supervisor::IsolateReport>,
 }
 
@@ -1107,7 +958,7 @@ impl RunReport {
                     (
                         "ns_per_event",
                         Json::F64(if self.engine.events_popped > 0 {
-                            self.exec_micros as f64 * 1000.0 / self.engine.events_popped as f64
+                            self.engine_micros as f64 * 1000.0 / self.engine.events_popped as f64
                         } else {
                             0.0
                         }),
@@ -1235,6 +1086,25 @@ impl RunReport {
     }
 }
 
+/// Scratch directories for the unit tests of every module.
+#[cfg(test)]
+pub(crate) mod testdir {
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A fresh, empty directory, unique per call (pid plus a counter):
+    /// tests on parallel threads never share, or delete, each other's.
+    pub(crate) fn tmp_dir(tag: &str) -> PathBuf {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let name = format!("smi-lab-runner-unit-{}-{n}-{tag}", std::process::id());
+        let dir = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create tmp dir");
+        dir
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1242,17 +1112,7 @@ mod tests {
     use std::sync::Arc;
 
     use crate::chaos::quiet_injected_panics;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "smi-lab-runner-test-{}-{}",
-            std::process::id(),
-            tag
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create tmp cache dir");
-        dir
-    }
+    use crate::testdir::tmp_dir;
 
     fn counting_cells(n: u64, executions: &Arc<AtomicU64>) -> Vec<Cell> {
         (0..n)
@@ -1607,5 +1467,154 @@ mod tests {
         assert_eq!(report.status(), RunStatus::Clean);
         assert!(!lock_path.exists(), "the campaign releases its own lock on return");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn ns_per_event_counts_only_cells_that_ran_the_engine() {
+        // A fake probe: cells book engine work into a thread-local the
+        // probe harvests (and resets), the way the real engine counters
+        // work. Only "engine" books a run; the others sleep longer and
+        // pop no event, so they must stay out of the denominator.
+        thread_local! {
+            static BOOKED: std::cell::Cell<EnginePerf> =
+                const { std::cell::Cell::new(EnginePerf { events_popped: 0, queue_peak: 0, runs: 0 }) };
+        }
+        let probe: PerfProbe = Arc::new(|| BOOKED.with(|b| b.take()));
+        let cell = |label: &str, runs: u64, sleep_ms: u64| {
+            let spec = CellSpec {
+                experiment: "ns-per-event".into(),
+                cell: label.into(),
+                params: Json::Null,
+                seed: 1,
+                reps: 1,
+            };
+            Cell::new(spec, move || {
+                std::thread::sleep(std::time::Duration::from_millis(sleep_ms));
+                BOOKED.with(|b| {
+                    b.set(EnginePerf { events_popped: runs * 1000, queue_peak: 4, runs })
+                });
+                Json::Null
+            })
+        };
+        let cells = vec![cell("idle-a", 0, 20), cell("engine", 2, 2), cell("idle-b", 0, 20)];
+        let mut runner = Runner::new(2);
+        runner.cache_mode = CacheMode::Off;
+        runner.verbose = false;
+        runner.perf_probe = Some(probe);
+        let report = runner.run("ns-per-event", cells);
+        assert_eq!(report.engine.runs, 2);
+        assert_eq!(report.engine.events_popped, 2000);
+        assert_eq!(
+            report.engine_micros,
+            report.outcomes[1].micros(),
+            "only the engine cell counts"
+        );
+        let ns = report.manifest().get("engine").and_then(|e| e.get("ns_per_event")).cloned();
+        let expected = report.outcomes[1].micros() as f64 * 1000.0 / 2000.0;
+        assert_eq!(ns, Some(Json::F64(expected)));
+    }
+
+    #[test]
+    fn probe_is_reset_before_every_attempt() {
+        // A cell that books engine work and then panics on its first
+        // attempt: the retried cell reports only its completing attempt.
+        quiet_injected_panics();
+        thread_local! {
+            static UNITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+        }
+        let probe: PerfProbe = Arc::new(|| EnginePerf {
+            events_popped: UNITS.with(|u| u.replace(0)),
+            queue_peak: 0,
+            runs: 1,
+        });
+        let tries = Arc::new(AtomicU64::new(0));
+        let seen = Arc::clone(&tries);
+        let spec = CellSpec {
+            experiment: "probe-reset".into(),
+            cell: "flaky".into(),
+            params: Json::Null,
+            seed: 1,
+            reps: 1,
+        };
+        let cells = vec![Cell::new(spec, move || {
+            UNITS.with(|u| u.set(u.get() + 100));
+            if seen.fetch_add(1, Ordering::Relaxed) == 0 {
+                panic!("chaos: fail after booking work");
+            }
+            Json::Null
+        })];
+        let mut runner = Runner::new(1);
+        runner.cache_mode = CacheMode::Off;
+        runner.verbose = false;
+        runner.perf_probe = Some(probe);
+        let report = runner.run("probe-reset", cells);
+        assert_eq!(report.retries, 1);
+        assert_eq!(report.engine.events_popped, 100, "the failed attempt's work is discarded");
+    }
+
+    #[test]
+    fn idle_slots_wait_out_a_long_cell() {
+        // One long cell among many short ones on four slots: the short
+        // cells finish around it and the campaign drains exactly once.
+        let executions = Arc::new(AtomicU64::new(0));
+        let mut cells = counting_cells(40, &executions);
+        let spec = cells[0].spec.clone();
+        let long = Arc::clone(&executions);
+        cells[0] = Cell::new(spec, move || {
+            std::thread::sleep(std::time::Duration::from_millis(30));
+            long.fetch_add(1, Ordering::Relaxed);
+            Json::obj(vec![("value", Json::U64(0))])
+        });
+        let mut runner = Runner::new(4);
+        runner.cache_mode = CacheMode::Off;
+        runner.verbose = false;
+        let report = runner.run("long-cell", cells);
+        assert_eq!(executions.load(Ordering::Relaxed), 40, "every cell runs exactly once");
+        for (i, o) in report.outcomes.iter().enumerate() {
+            assert_eq!(
+                o.payload().and_then(|p| p.get("value")).and_then(Json::as_u64),
+                Some(i as u64 * 10)
+            );
+        }
+    }
+
+    #[test]
+    fn a_panicking_slot_does_not_strand_its_siblings() {
+        // The probe runs outside the cells' `catch_unwind`, so a probe
+        // that panics takes its slot down. The other slots must drain
+        // and the run must re-raise the panic instead of hanging.
+        quiet_injected_panics();
+        let calls = Arc::new(AtomicU64::new(0));
+        let seen = Arc::clone(&calls);
+        let probe: PerfProbe = Arc::new(move || {
+            if seen.fetch_add(1, Ordering::Relaxed) == 5 {
+                panic!("chaos: probe fault");
+            }
+            EnginePerf::default()
+        });
+        let executions = Arc::new(AtomicU64::new(0));
+        let mut runner = Runner::new(3);
+        runner.cache_mode = CacheMode::Off;
+        runner.verbose = false;
+        runner.perf_probe = Some(probe);
+        let cells = counting_cells(30, &executions);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            runner.run("abandoned", cells)
+        }));
+        assert!(result.is_err(), "the slot's panic is re-raised");
+    }
+
+    #[test]
+    fn lock_clean_recovers_poisoned_mutexes() {
+        quiet_injected_panics();
+        let shared = std::sync::Mutex::new(41u64);
+        let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = shared.lock().unwrap();
+            panic!("chaos: poison while holding the lock");
+        }));
+        assert!(poison.is_err());
+        assert!(shared.lock().is_err(), "the mutex must actually be poisoned");
+        *lock_clean(&shared) += 1;
+        assert_eq!(*lock_clean(&shared), 42, "lock_clean reads and writes through poison");
     }
 }

@@ -165,17 +165,7 @@ pub fn is_stale_lock_file(path: &Path) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "smi-lab-lockfile-test-{}-{}",
-            std::process::id(),
-            tag
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create tmp dir");
-        dir
-    }
+    use crate::testdir::tmp_dir;
 
     fn acquire(dir: &Path, label: &str) -> Result<Acquired, LockHeld> {
         CampaignLock::acquire(dir, label)

@@ -242,7 +242,7 @@ impl Store {
     ) -> bool {
         let mut line = checked::seal(record);
         line.push('\n');
-        let mut guard = crate::pool::lock_clean(file);
+        let mut guard = crate::lock_clean(file);
         let Some(handle) = guard.as_mut() else {
             self.index_errors.fetch_add(1, Ordering::AcqRel);
             return false;
@@ -259,7 +259,7 @@ impl Store {
     fn add_ref(&self, key: CacheKey) {
         let hex = key.hex();
         {
-            let mut keys = crate::pool::lock_clean(&self.index_keys);
+            let mut keys = crate::lock_clean(&self.index_keys);
             if !keys.insert(hex.clone()) {
                 return;
             }
@@ -281,7 +281,7 @@ impl Store {
         let result = cache::load_with(&self.vfs, &self.root, key, &self.code_version, spec);
         match &result {
             Lookup::Hit(_) => {
-                let known = crate::pool::lock_clean(&self.index_keys).contains(&key.hex());
+                let known = crate::lock_clean(&self.index_keys).contains(&key.hex());
                 if known {
                     self.hits.fetch_add(1, Ordering::AcqRel);
                 } else {
@@ -707,14 +707,7 @@ pub fn fsck(root: &Path, repair: bool) -> FsckReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmp_root(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("smi-lab-store-test-{}-{}", std::process::id(), tag));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create tmp root");
-        dir
-    }
+    use crate::testdir::tmp_dir;
 
     fn spec(n: u64) -> CellSpec {
         CellSpec {
@@ -728,7 +721,7 @@ mod tests {
 
     #[test]
     fn two_campaigns_share_objects_and_count_dedup() {
-        let root = tmp_root("dedup");
+        let root = tmp_dir("dedup");
         let (alpha, _) = Store::open(Vfs::real(), &root, "alpha", "v1");
         for n in 0..4 {
             let key = cache::cell_key("v1", &spec(n));
@@ -770,7 +763,7 @@ mod tests {
 
     #[test]
     fn unresolved_intent_removes_torn_object_and_keeps_whole_one() {
-        let root = tmp_root("intent");
+        let root = tmp_dir("intent");
         let whole = cache::cell_key("v1", &spec(1));
         let torn = cache::cell_key("v1", &spec(2));
         {
@@ -804,7 +797,7 @@ mod tests {
 
     #[test]
     fn compact_reclaims_unreferenced_objects_only() {
-        let root = tmp_root("compact");
+        let root = tmp_dir("compact");
         let (store, _) = Store::open(Vfs::real(), &root, "camp", "v1");
         let kept = cache::cell_key("v1", &spec(1));
         store.put(kept, &spec(1), &Json::U64(1)).expect("put");
@@ -823,7 +816,7 @@ mod tests {
 
     #[test]
     fn fsck_finds_and_repairs_every_planted_damage_class() {
-        let root = tmp_root("fsck");
+        let root = tmp_dir("fsck");
         let (store, _) = Store::open(Vfs::real(), &root, "camp", "v1");
         let good = cache::cell_key("v1", &spec(1));
         let victim = cache::cell_key("v1", &spec(2));

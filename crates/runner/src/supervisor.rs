@@ -1,19 +1,27 @@
-//! The supervisor half of process-isolated execution: shard cells
-//! across re-spawned worker subprocesses, survive every way a worker
-//! can die, and keep the campaign's records byte-identical to an
-//! in-process run.
+//! The campaign's one dispatch loop: every cell of every campaign —
+//! in-process or `--isolate` — is looked up, executed, retried,
+//! quarantined, journaled and published here, so the two execution
+//! modes cannot disagree on a record byte or an exit code.
 //!
-//! ## Supervision tree
+//! ## Slots and executors
 //!
-//! `run_isolated` owns the campaign. It satisfies cache hits itself
-//! (cached payloads never cross a pipe), queues every remaining cell
-//! into one shared work queue, and runs one *manager thread per worker
-//! slot*. Each manager spawns its worker subprocess (the hidden
-//! `smi-lab worker` subcommand), feeds it cells over the
-//! length-prefixed frame protocol ([`crate::proto`] over
-//! [`jsonio::framed`]), and reaps outcomes. Managers pull from the
-//! shared queue, so a slow or dying worker slot never strands cells
-//! that a healthy sibling could run.
+//! `run` opens the store, queues one `WorkItem` per cell, and drains
+//! the queue with N *slot threads*. A slot pops an item, looks it up in
+//! the store (a hit finishes the cell on the spot; cached payloads never
+//! reach an executor) and hands a miss to its executor:
+//!
+//! * a **thread executor** (the default) calls the cell closure through
+//!   `worker::run_one` on the slot thread itself;
+//! * a **process executor** (`--isolate`) sends the cell's identity to a
+//!   `smi-lab worker` subprocess over the length-prefixed frame protocol
+//!   ([`crate::proto`] over [`jsonio::framed`]); the worker runs the same
+//!   `run_one` on its own rebuilt catalog. A process slot spawns its
+//!   worker on its first miss, so an all-hit pass spawns none.
+//!
+//! Both executors answer with a [`proto::WorkOutcome`], and every outcome
+//! goes through `Ctx::settle`: the one place that decides retry,
+//! quarantine, journal append and store publish. An idle slot blocks on
+//! a condvar until work is requeued or the campaign drains.
 //!
 //! ## Crash discipline
 //!
@@ -23,35 +31,36 @@
 //! resumes knowing the cell was dispatched) and re-queued until the
 //! cell's ordinary [`crate::Runner::max_attempts`] budget is spent,
 //! then quarantined with a machine-readable `worker-crash` reason. The
-//! manager re-spawns its worker with bounded exponential backoff; a
-//! slot whose respawn budget is exhausted *gives up* — graceful
-//! degradation, not collapse. If every slot gives up, whatever is left
-//! in the queue is quarantined `worker-pool-exhausted` and the run
-//! reports Degraded instead of hanging.
+//! slot re-spawns its worker with bounded exponential backoff; a slot
+//! whose respawn budget is exhausted *gives up* — graceful degradation,
+//! not collapse. If every slot gives up, whatever is left in the queue
+//! is quarantined `worker-pool-exhausted` and the run reports Degraded
+//! instead of hanging. A panic is not a crash: its retry stays on the
+//! slot that saw it, exactly as an in-process retry does.
 //!
 //! ## Deadlines
 //!
 //! Two layers, deliberately different: the *deterministic* deadline is
-//! the work-unit budget the worker itself enforces from harvested
-//! engine counters (`deadline` quarantines reproduce exactly on every
-//! rerun — no wall clock in the verdict). The *wall-clock* watchdog
-//! lives only up here: a worker that stops answering for
+//! the work-unit budget `run_one` enforces from harvested engine
+//! counters (`deadline` quarantines reproduce exactly on every rerun —
+//! no wall clock in the verdict). Only process slots carry a budget;
+//! thread slots run with budget 0. The *wall-clock* watchdog lives only
+//! up here: a worker that stops answering for
 //! [`IsolateConfig::watchdog_ms`] is presumed wedged and shot, which
 //! funnels into the same crash discipline. Wall time decides only
 //! *liveness*, never a record byte.
 
 use crate::telemetry::{Progress, Stopwatch};
 use crate::{
-    assemble_report, cache, journal, lockfile, pool::lock_clean, proto, store, CacheMode, Cell,
-    CellError, CellOutcome, CellSpec, CellValue, QuarantineKind, RunReport, Runner,
+    assemble_report, cache, journal, lock_clean, lockfile, proto, store, worker, CacheMode, Cell,
+    CellError, CellOutcome, CellValue, QuarantineKind, RunReport, Runner,
 };
 use jsonio::framed::{FrameReader, FrameWriter};
 use jsonio::Json;
 use std::collections::VecDeque;
 use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 /// Configuration of one process-isolated campaign.
@@ -129,14 +138,15 @@ pub struct IsolateReport {
     pub pool_exhausted_cells: u64,
 }
 
-/// One queued unit of work. The cell's closure stays behind in the
-/// supervisor (workers rebuild work from the spec); only identity and
-/// attempt accounting travel.
+/// One queued unit of work: which cell, and its attempt accounting.
+/// The cell itself (identity and closure) stays in the campaign's cell
+/// list; a process executor sends only the identity across the pipe.
 struct WorkItem {
     idx: usize,
-    spec: CellSpec,
     key: cache::CacheKey,
     attempts: u32,
+    /// Started when a slot first takes the cell — `None` marks a cell
+    /// whose store lookup has not happened yet.
     watch: Option<Stopwatch>,
 }
 
@@ -146,51 +156,34 @@ impl WorkItem {
     }
 }
 
-/// Shared campaign state every manager thread works against.
+/// The queue and the outcome slots, under one lock so a slot can never
+/// miss the wake-up that tells it the campaign drained.
+struct Queue {
+    items: VecDeque<WorkItem>,
+    outcomes: Vec<Option<CellOutcome>>,
+    remaining: usize,
+    /// Set when a slot unwinds, so its siblings stop waiting for cells
+    /// it will never finish.
+    abandoned: bool,
+}
+
+/// Shared campaign state every slot thread works against.
 struct Ctx<'a> {
     runner: &'a Runner,
-    cfg: &'a IsolateConfig,
+    cells: &'a [Cell],
     progress: &'a Progress,
     store: Option<&'a store::Store>,
     writer: Option<&'a journal::Writer>,
-    queue: Mutex<VecDeque<WorkItem>>,
-    slots: Vec<Mutex<Option<CellOutcome>>>,
-    completed: AtomicUsize,
-    pending_total: usize,
+    queue: Mutex<Queue>,
+    wake: Condvar,
 }
 
-impl Ctx<'_> {
-    fn journal(&self, key: cache::CacheKey, cell: &str, status: journal::Status, attempts: u32) {
-        if let Some(w) = self.writer {
-            if self.progress.storage_bypass() {
-                self.progress.note_bypassed_write();
-            } else if w.append(key, cell, status, attempts).is_err() {
-                self.progress.note_store_error();
-            }
-        }
-    }
-
-    /// Deposit a finished outcome into its submission-order slot and
-    /// count it toward campaign completion.
-    fn finish(&self, item: WorkItem, result: Result<CellValue, CellError>) {
-        let WorkItem { idx, spec, key, .. } = item;
-        if let Some(slot) = self.slots.get(idx) {
-            *lock_clean(slot) = Some(CellOutcome { spec, key, result });
-        }
-        self.completed.fetch_add(1, Ordering::AcqRel);
-    }
-
-    fn done(&self) -> bool {
-        self.completed.load(Ordering::Acquire) >= self.pending_total
-    }
-}
-
-/// Run a campaign process-isolated. Same contract as the in-process
-/// `Runner::run` — outcomes in submission order, byte-identical records
-/// — plus the supervision accounting in [`RunReport::isolate`].
-pub fn run_isolated(
+/// Run a campaign: open storage, drain every cell through the slots,
+/// and assemble the report. Outcomes come back in submission order;
+/// [`RunReport::isolate`] carries the supervision accounting when the
+/// slots drove worker processes.
+pub(crate) fn run(
     runner: &Runner,
-    cfg: &IsolateConfig,
     label: &str,
     cells: Vec<Cell>,
     lock_broken: Option<lockfile::BrokenLock>,
@@ -198,91 +191,60 @@ pub fn run_isolated(
     let progress = Progress::new(cells.len() as u64, runner.verbose)
         .with_disk_fault_limit(runner.disk_fault_limit);
     let started = Stopwatch::start();
-    let (store, writer, mut account) = runner.open_storage(label, &cells, &progress, lock_broken);
-
-    // Intake: satisfy cache hits here (cached payloads never cross a
-    // pipe, so caching cannot perturb record bytes), queue the rest.
+    let keys: Vec<cache::CacheKey> =
+        cells.iter().map(|cell| cache::cell_key(&runner.code_version, &cell.spec)).collect();
+    let (store, writer, mut account) = runner.open_storage(label, &keys, &progress, lock_broken);
     let total = cells.len();
-    let slots: Vec<Mutex<Option<CellOutcome>>> = (0..total).map(|_| Mutex::new(None)).collect();
-    let mut identities: Vec<(CellSpec, cache::CacheKey)> = Vec::with_capacity(total);
-    let mut queue = VecDeque::new();
-    for (idx, cell) in cells.into_iter().enumerate() {
-        let key = cache::cell_key(&runner.code_version, &cell.spec);
-        identities.push((cell.spec.clone(), key));
-        if runner.cache_mode == CacheMode::ReadWrite {
-            if let Some(store) = &store {
-                match store.load(key, &cell.spec) {
-                    cache::Lookup::Hit(payload) => {
-                        progress.cell_done(&cell.spec.cell, 0, true);
-                        if let Some(w) = &writer {
-                            if progress.storage_bypass() {
-                                progress.note_bypassed_write();
-                            } else if w
-                                .append(key, &cell.spec.cell, journal::Status::Ok, 0)
-                                .is_err()
-                            {
-                                progress.note_store_error();
-                            }
-                        }
-                        *lock_clean(&slots[idx]) = Some(CellOutcome {
-                            spec: cell.spec,
-                            key,
-                            result: Ok(CellValue { payload, cached: true, attempts: 0, micros: 0 }),
-                        });
-                        continue;
-                    }
-                    cache::Lookup::Corrupt => progress.note_load_corruption(),
-                    cache::Lookup::Miss => {}
-                }
-            }
-        }
-        queue.push_back(WorkItem { idx, spec: cell.spec, key, attempts: 0, watch: None });
-    }
-
-    let pending_total = queue.len();
+    let items = keys
+        .iter()
+        .enumerate()
+        .map(|(idx, &key)| WorkItem { idx, key, attempts: 0, watch: None })
+        .collect();
     let ctx = Ctx {
         runner,
-        cfg,
+        cells: &cells,
         progress: &progress,
         store: store.as_ref(),
         writer: writer.as_ref(),
-        queue: Mutex::new(queue),
-        slots,
-        completed: AtomicUsize::new(0),
-        pending_total,
+        queue: Mutex::new(Queue {
+            items,
+            outcomes: (0..total).map(|_| None).collect(),
+            remaining: total,
+            abandoned: false,
+        }),
+        wake: Condvar::new(),
     };
-    let worker_slots = cfg.workers.max(1).min(pending_total.max(1));
-    let mut stats: Vec<WorkerStats> = vec![WorkerStats::default(); worker_slots];
-    if pending_total > 0 {
+    let slots = runner.isolate.as_ref().map_or(runner.jobs, |cfg| cfg.workers);
+    let mut stats = vec![WorkerStats::default(); slots.clamp(1, total.max(1))];
+    if total > 0 {
         std::thread::scope(|scope| {
             for stat in stats.iter_mut() {
                 let ctx = &ctx;
-                scope.spawn(move || manage_worker(ctx, stat));
+                scope.spawn(move || ctx.slot(stat));
             }
         });
     }
 
-    // Every manager has returned. Anything still queued outlived every
+    // Every slot has returned. A miss still queued outlived every
     // slot's respawn budget: quarantine it with a typed reason rather
-    // than hang or abort the campaign.
+    // than hang or abort the campaign. (Cells nobody looked up yet are
+    // still served from the store first.)
     let mut pool_exhausted = 0u64;
-    loop {
-        let item = lock_clean(&ctx.queue).pop_front();
-        let Some(item) = item else { break };
+    while let Some(item) = ctx.next_miss(false) {
         pool_exhausted += 1;
         let micros = item.elapsed();
         let attempts = item.attempts;
-        ctx.progress.cell_crashed(&item.spec.cell, micros);
-        ctx.journal(item.key, &item.spec.cell, journal::Status::Crashed, attempts);
+        ctx.progress.cell_quarantined(QuarantineKind::Crashed, ctx.label(&item), micros);
+        ctx.journal(&item, journal::Status::Crashed, attempts);
         let reason = Json::obj(vec![
             ("kind", Json::Str("worker-pool-exhausted".into())),
             ("attempts", Json::U64(attempts as u64)),
         ]);
+        let message = "worker pool exhausted: every worker slot spent its respawn budget";
         ctx.finish(
             item,
             Err(CellError {
-                message: "worker pool exhausted: every worker slot spent its respawn budget"
-                    .to_string(),
+                message: message.to_string(),
                 reason,
                 kind: QuarantineKind::Crashed,
                 attempts,
@@ -291,26 +253,22 @@ pub fn run_isolated(
         );
     }
 
-    let Ctx { slots, .. } = ctx;
-    let outcomes: Vec<CellOutcome> = slots
+    let outcomes = ctx.queue.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner()).outcomes;
+    // Every index is a hit, settled by a slot, or drained above. A hole
+    // would be an accounting bug: surface it as a typed quarantine, never
+    // as a payload shifted into its neighbour's place.
+    let outcomes: Vec<CellOutcome> = outcomes
         .into_iter()
-        .zip(identities)
-        .map(|(slot, (spec, key))| {
-            let filled = slot.into_inner().unwrap_or_else(|poisoned| poisoned.into_inner());
-            filled.unwrap_or_else(|| {
-                // Unreachable by construction (every index is either a
-                // cache hit, finished by a manager, or drained above);
-                // kept total for the no-panic discipline.
-                progress.cell_crashed(&spec.cell, 0);
+        .zip(cells.iter().zip(keys))
+        .map(|(outcome, (cell, key))| {
+            outcome.unwrap_or_else(|| {
+                progress.cell_quarantined(QuarantineKind::Crashed, &cell.spec.cell, 0);
                 CellOutcome {
-                    spec,
+                    spec: cell.spec.clone(),
                     key,
                     result: Err(CellError {
                         message: "cell never completed: supervisor accounting hole".to_string(),
-                        reason: Json::obj(vec![(
-                            "kind",
-                            Json::Str("worker-pool-exhausted".into()),
-                        )]),
+                        reason: Json::obj(vec![("kind", Json::Str("accounting-hole".into()))]),
                         kind: QuarantineKind::Crashed,
                         attempts: 0,
                         micros: 0,
@@ -319,8 +277,10 @@ pub fn run_isolated(
             })
         })
         .collect();
-
-    let isolate = IsolateReport { workers: stats, pool_exhausted_cells: pool_exhausted };
+    let isolate = runner
+        .isolate
+        .as_ref()
+        .map(|_| IsolateReport { workers: stats, pool_exhausted_cells: pool_exhausted });
     if let Some(store) = &store {
         account.store = store.counters();
         // Bookkeeping append failures are disk faults too: fold them
@@ -329,283 +289,319 @@ pub fn run_isolated(
             progress.note_store_error();
         }
     }
-    assemble_report(runner, label, &progress, &started, account, outcomes, Some(isolate))
+    assemble_report(runner, label, &progress, &started, account, outcomes, isolate)
 }
 
-/// One manager thread: own one worker slot until the campaign drains
-/// or the slot's respawn budget is spent.
-fn manage_worker(ctx: &Ctx<'_>, stats: &mut WorkerStats) {
-    let mut conn: Option<Conn> = None;
-    let mut inflight: VecDeque<(u64, WorkItem)> = VecDeque::new();
-    let mut next_id: u64 = 1;
-    let max_inflight = ctx.cfg.inflight.max(1);
-    loop {
-        if ctx.done() && inflight.is_empty() {
-            break;
-        }
-        if conn.is_none() {
-            if stats.crashes > ctx.cfg.respawn_budget as u64 {
-                // Give up the slot. Crash handling already requeued or
-                // quarantined everything we had in flight; siblings (or
-                // the pool-exhausted drain) own the rest.
-                stats.gave_up = true;
-                return;
-            }
-            if stats.crashes > 0 {
-                let shift = (stats.crashes - 1).min(5) as u32;
-                std::thread::sleep(Duration::from_millis(ctx.cfg.backoff_ms << shift));
-            }
-            match Conn::spawn(&ctx.cfg.worker_cmd) {
-                Ok(c) => {
-                    stats.spawns += 1;
-                    conn = Some(c);
-                }
-                Err(()) => {
-                    stats.crashes += 1;
-                    continue;
-                }
+impl Ctx<'_> {
+    fn label(&self, item: &WorkItem) -> &str {
+        &self.cells[item.idx].spec.cell
+    }
+
+    fn journal(&self, item: &WorkItem, status: journal::Status, attempts: u32) {
+        if let Some(w) = self.writer {
+            if self.progress.storage_bypass() {
+                self.progress.note_bypassed_write();
+            } else if w.append(item.key, self.label(item), status, attempts).is_err() {
+                self.progress.note_store_error();
             }
         }
-        // Admission: dispatch from the shared queue up to the in-flight
-        // bound. The bound is also backpressure — it caps the attempts
-        // one worker death can cost.
-        let mut pipe_broke = false;
-        let mut kill_injected = false;
-        while inflight.len() < max_inflight {
-            let popped = lock_clean(&ctx.queue).pop_front();
-            let Some(mut item) = popped else { break };
-            if item.watch.is_none() {
-                item.watch = Some(Stopwatch::start());
-            }
-            let id = next_id;
-            next_id += 1;
-            let msg = proto::ToWorker::Run {
-                id,
-                attempt: item.attempts + 1,
-                budget_units: ctx.cfg.deadline_units,
-                spec: item.spec.clone(),
+    }
+
+    /// Deposit a finished outcome into its submission-order slot; the
+    /// last one wakes every idle slot so the campaign can end.
+    fn finish(&self, item: WorkItem, result: Result<CellValue, CellError>) {
+        let spec = self.cells[item.idx].spec.clone();
+        let mut queue = lock_clean(&self.queue);
+        queue.outcomes[item.idx] = Some(CellOutcome { spec, key: item.key, result });
+        queue.remaining -= 1;
+        if queue.remaining == 0 {
+            self.wake.notify_all();
+        }
+    }
+
+    /// Put an attempt back at the head of the shared queue for any slot.
+    fn requeue(&self, item: WorkItem) {
+        lock_clean(&self.queue).items.push_front(item);
+        self.wake.notify_one();
+    }
+
+    /// The next cell that needs executing. Pops the queue (blocking, if
+    /// `wait`, until work arrives or the campaign drains) and serves
+    /// every cell it can from the store on the way: a hit finishes the
+    /// cell here, so only misses reach an executor.
+    fn next_miss(&self, wait: bool) -> Option<WorkItem> {
+        loop {
+            let mut item = {
+                let mut queue = lock_clean(&self.queue);
+                loop {
+                    if let Some(item) = queue.items.pop_front() {
+                        break item;
+                    }
+                    if !wait || queue.remaining == 0 || queue.abandoned {
+                        return None;
+                    }
+                    queue = self.wake.wait(queue).unwrap_or_else(|poisoned| poisoned.into_inner());
+                }
             };
-            let kill_after = ctx.cfg.kill_cells.contains(&item.spec.cell);
-            let Some(c) = conn.as_mut() else { break };
-            match c.tx.write(&msg.to_json()) {
-                Ok(()) => {
-                    inflight.push_back((id, item));
-                    if kill_after {
-                        // Injected fault: SIGKILL our own worker with
-                        // this cell in flight (the kill-resume gate).
-                        let _ = c.child.kill();
-                        kill_injected = true;
-                        break;
+            if item.watch.is_some() {
+                return Some(item); // handed back by a slot: already looked up
+            }
+            item.watch = Some(Stopwatch::start());
+            let Some(payload) = self.lookup(&item) else { return Some(item) };
+            let micros = item.elapsed();
+            self.progress.cell_done(self.label(&item), micros, true);
+            self.journal(&item, journal::Status::Ok, 0);
+            self.finish(item, Ok(CellValue { payload, cached: true, attempts: 0, micros }));
+        }
+    }
+
+    fn lookup(&self, item: &WorkItem) -> Option<Json> {
+        let store = self.store.filter(|_| self.runner.cache_mode == CacheMode::ReadWrite)?;
+        match store.load(item.key, &self.cells[item.idx].spec) {
+            cache::Lookup::Hit(payload) => Some(payload),
+            cache::Lookup::Corrupt => {
+                self.progress.note_load_corruption();
+                None
+            }
+            cache::Lookup::Miss => None,
+        }
+    }
+
+    fn slot(&self, stats: &mut WorkerStats) {
+        // Cells run under `catch_unwind`, so a slot unwinds only on a bug
+        // of its own. Its siblings must not wait forever for the cells it
+        // held: release them, and let the scope re-raise the panic.
+        struct Abandon<'c, 'a>(&'c Ctx<'a>);
+        impl Drop for Abandon<'_, '_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    lock_clean(&self.0.queue).abandoned = true;
+                    self.0.wake.notify_all();
+                }
+            }
+        }
+        let _abandon = Abandon(self);
+        match &self.runner.isolate {
+            Some(cfg) => self.process_slot(cfg, stats),
+            None => self.thread_slot(stats),
+        }
+    }
+
+    /// A thread executor: run each miss on this thread. A panic retry
+    /// re-runs here at once, like every retry of the same cell closure.
+    fn thread_slot(&self, stats: &mut WorkerStats) {
+        let mut retry = None;
+        while let Some(item) = retry.take().or_else(|| self.next_miss(true)) {
+            let outcome =
+                worker::run_one(&self.cells[item.idx], self.runner.perf_probe.as_ref(), 0);
+            retry = self.settle(stats, item, Ok(outcome));
+        }
+    }
+
+    /// A process executor: own one worker subprocess, keep up to
+    /// [`IsolateConfig::inflight`] cells in flight on it, and survive
+    /// its deaths until the campaign drains or the respawn budget is
+    /// spent.
+    fn process_slot(&self, cfg: &IsolateConfig, stats: &mut WorkerStats) {
+        let mut conn: Option<Conn> = None;
+        // Misses this slot holds but has not dispatched (panic retries
+        // go to the front, so they stay on the same worker).
+        let mut ready: VecDeque<WorkItem> = VecDeque::new();
+        let mut inflight: VecDeque<(u64, WorkItem)> = VecDeque::new();
+        let mut next_id: u64 = 1;
+        // The in-flight bound is also backpressure — it caps the
+        // attempts one worker death can cost.
+        let window = cfg.inflight.max(1);
+        loop {
+            while inflight.len() + ready.len() < window {
+                let idle = inflight.is_empty() && ready.is_empty();
+                let Some(item) = self.next_miss(idle) else { break };
+                ready.push_back(item);
+            }
+            if inflight.is_empty() && ready.is_empty() {
+                break;
+            }
+            if conn.is_none() {
+                if stats.crashes > cfg.respawn_budget as u64 {
+                    // Give up the slot: siblings (or the pool-exhausted
+                    // drain) own whatever it still holds.
+                    stats.gave_up = true;
+                    while let Some(item) = ready.pop_back() {
+                        self.requeue(item);
+                    }
+                    return;
+                }
+                if stats.crashes > 0 {
+                    let shift = (stats.crashes - 1).min(5) as u32;
+                    std::thread::sleep(Duration::from_millis(cfg.backoff_ms << shift));
+                }
+                match Conn::spawn(&cfg.worker_cmd) {
+                    Ok(c) => {
+                        stats.spawns += 1;
+                        conn = Some(c);
+                    }
+                    Err(()) => {
+                        stats.crashes += 1;
+                        continue;
                     }
                 }
-                Err(_) => {
-                    lock_clean(&ctx.queue).push_front(item);
-                    pipe_broke = true;
+            }
+            let Some(c) = conn.as_mut() else { continue };
+            let mut death = None;
+            while let Some(item) = ready.pop_front() {
+                let spec = &self.cells[item.idx].spec;
+                let msg = proto::ToWorker::Run {
+                    id: next_id,
+                    attempt: item.attempts + 1,
+                    budget_units: cfg.deadline_units,
+                    spec: spec.clone(),
+                };
+                if c.tx.write(&msg.to_json()).is_err() {
+                    ready.push_front(item);
+                    death = Some("pipe-closed");
+                    break;
+                }
+                inflight.push_back((next_id, item));
+                next_id += 1;
+                if cfg.kill_cells.contains(&spec.cell) {
+                    // Injected fault: SIGKILL our own worker with this
+                    // cell in flight (the kill-resume gate), and account
+                    // the crash *now*, without draining the pipe first:
+                    // a fast worker may already have replied `Done` for
+                    // the doomed cell, and reading it would let the
+                    // injection silently miss. The attempt is charged
+                    // either way, which is exactly what a SIGKILL with
+                    // the cell in flight means.
+                    let _ = c.child.kill();
+                    death = Some("worker-exit");
                     break;
                 }
             }
-        }
-        if pipe_broke {
-            if let Some(c) = conn.take() {
-                crash(ctx, stats, c, &mut inflight, "pipe-closed");
+            if death.is_none() {
+                death = match c.rx.recv_timeout(Duration::from_millis(cfg.watchdog_ms.max(1))) {
+                    Ok(Ok(proto::FromWorker::Hello { .. })) => None,
+                    Ok(Ok(proto::FromWorker::Done { id, outcome })) => {
+                        let pos = inflight.iter().position(|(i, _)| *i == id);
+                        if let Some((_, item)) = pos.and_then(|pos| inflight.remove(pos)) {
+                            if let Some(retry) = self.settle(stats, item, Ok(outcome)) {
+                                ready.push_front(retry);
+                            }
+                        }
+                        None
+                    }
+                    // Torn/garbage frame or worker exit: either way the
+                    // channel is unusable — treat as a death.
+                    Ok(Err(_)) | Err(RecvTimeoutError::Disconnected) => Some("worker-exit"),
+                    Err(RecvTimeoutError::Timeout) => Some("watchdog-timeout"),
+                };
             }
-            continue;
-        }
-        if kill_injected {
-            // Account the injected kill as a crash *now*, without
-            // draining the pipe first: if the supervisor was preempted
-            // between the dispatch write and the kill, a fast worker may
-            // already have replied `Done` for the doomed cell — reading
-            // it would let the kill's target land Ok and the injection
-            // silently miss. The attempt is charged either way, which is
-            // exactly what a SIGKILL-with-the-cell-in-flight means.
+            // A worker death costs exactly the attempts in flight on it.
+            let Some(cause) = death else { continue };
+            stats.crashes += 1;
             if let Some(c) = conn.take() {
-                crash(ctx, stats, c, &mut inflight, "worker-exit");
+                c.stop();
             }
-            continue;
+            for (_, item) in inflight.drain(..) {
+                if let Some(retry) = self.settle(stats, item, Err(cause)) {
+                    self.requeue(retry);
+                }
+            }
         }
-        if inflight.is_empty() {
-            // Nothing to wait on, but the campaign is not done — a
-            // sibling's crash may yet requeue work. Poll gently.
-            std::thread::sleep(Duration::from_millis(2));
-            continue;
+        if let Some(c) = conn.take() {
+            c.stop();
         }
-        let Some(c) = conn.as_mut() else { continue };
-        match c.rx.recv_timeout(Duration::from_millis(ctx.cfg.watchdog_ms.max(1))) {
-            Ok(Ok(proto::FromWorker::Hello { .. })) => {}
-            Ok(Ok(proto::FromWorker::Done { id, outcome })) => {
-                if let Some(pos) = inflight.iter().position(|(i, _)| *i == id) {
-                    if let Some((_, item)) = inflight.remove(pos) {
-                        handle_outcome(ctx, stats, item, outcome);
+    }
+
+    /// Account one ended attempt — the executor's outcome, or `Err(cause)`
+    /// when the worker process holding it died. The one place that
+    /// decides retry, quarantine, journal append and store publish for
+    /// an executed cell. Returns the item when it should run again.
+    fn settle(
+        &self,
+        stats: &mut WorkerStats,
+        mut item: WorkItem,
+        ended: Result<proto::WorkOutcome, &str>,
+    ) -> Option<WorkItem> {
+        item.attempts += 1;
+        let attempts = item.attempts;
+        let budget = self.runner.max_attempts.max(1);
+        let retry = attempts < budget;
+        let micros = item.elapsed();
+        let (kind, message, reason) = match ended {
+            Ok(proto::WorkOutcome::Ok { payload, perf }) => {
+                if let Some(store) = self.store {
+                    if self.progress.storage_bypass() {
+                        self.progress.note_bypassed_write();
+                    } else if store.put(item.key, &self.cells[item.idx].spec, &payload).is_err() {
+                        self.progress.note_store_error();
                     }
                 }
+                self.progress.note_engine(perf, micros);
+                self.progress.cell_done(self.label(&item), micros, false);
+                self.journal(&item, journal::Status::Ok, attempts);
+                stats.cells_ok += 1;
+                self.finish(item, Ok(CellValue { payload, cached: false, attempts, micros }));
+                return None;
             }
-            Ok(Err(_)) | Err(RecvTimeoutError::Disconnected) => {
-                // Torn/garbage frame or worker exit: either way the
-                // channel is unusable — treat as a death.
-                if let Some(c) = conn.take() {
-                    crash(ctx, stats, c, &mut inflight, "worker-exit");
-                }
+            Ok(proto::WorkOutcome::Panic { .. }) if retry => {
+                self.progress.note_retry();
+                return Some(item);
             }
-            Err(RecvTimeoutError::Timeout) => {
-                if let Some(c) = conn.take() {
-                    crash(ctx, stats, c, &mut inflight, "watchdog-timeout");
-                }
+            Err(_) if retry => {
+                self.journal(&item, journal::Status::Crashed, attempts);
+                self.progress.note_retry();
+                return Some(item);
             }
-        }
-    }
-    if let Some(c) = conn.take() {
-        c.stop();
-    }
-}
-
-/// Account one worker death: every in-flight attempt is journaled
-/// `crashed`, then requeued (budget remaining) or quarantined
-/// `worker-crash` (budget spent).
-fn crash(
-    ctx: &Ctx<'_>,
-    stats: &mut WorkerStats,
-    conn: Conn,
-    inflight: &mut VecDeque<(u64, WorkItem)>,
-    cause: &str,
-) {
-    stats.crashes += 1;
-    conn.stop();
-    let budget = ctx.runner.max_attempts.max(1);
-    for (_, mut item) in inflight.drain(..) {
-        item.attempts += 1;
-        ctx.journal(item.key, &item.spec.cell, journal::Status::Crashed, item.attempts);
-        if item.attempts < budget {
-            ctx.progress.note_retry();
-            lock_clean(&ctx.queue).push_front(item);
-        } else {
-            let micros = item.elapsed();
-            let attempts = item.attempts;
-            ctx.progress.cell_crashed(&item.spec.cell, micros);
-            stats.cells_crashed += 1;
-            let reason = Json::obj(vec![
-                ("kind", Json::Str("worker-crash".into())),
-                ("cause", Json::Str(cause.to_string())),
-                ("attempts", Json::U64(attempts as u64)),
-            ]);
-            let message = format!("worker crashed ({cause}) on attempt {attempts} of {budget}");
-            ctx.finish(
-                item,
-                Err(CellError { message, reason, kind: QuarantineKind::Crashed, attempts, micros }),
-            );
-        }
-    }
-}
-
-/// Account one reported outcome, mirroring the in-process `run_cell`
-/// semantics so the two execution modes agree on every record byte and
-/// every exit code.
-fn handle_outcome(
-    ctx: &Ctx<'_>,
-    stats: &mut WorkerStats,
-    mut item: WorkItem,
-    outcome: proto::WorkOutcome,
-) {
-    let budget = ctx.runner.max_attempts.max(1);
-    match outcome {
-        proto::WorkOutcome::Ok { payload, perf } => {
-            if let Some(store) = ctx.store {
-                if ctx.progress.storage_bypass() {
-                    ctx.progress.note_bypassed_write();
-                } else if store.put(item.key, &item.spec, &payload).is_err() {
-                    ctx.progress.note_store_error();
-                }
+            Ok(proto::WorkOutcome::Panic { message }) => {
+                (QuarantineKind::Panic, message, Json::Null)
             }
-            ctx.progress.note_engine(perf);
-            let micros = item.elapsed();
-            let attempts = item.attempts + 1;
-            ctx.progress.cell_done(&item.spec.cell, micros, false);
-            ctx.journal(item.key, &item.spec.cell, journal::Status::Ok, attempts);
-            stats.cells_ok += 1;
-            ctx.finish(item, Ok(CellValue { payload, cached: false, attempts, micros }));
-        }
-        proto::WorkOutcome::Invalid { reason } => {
-            let micros = item.elapsed();
-            let attempts = item.attempts + 1;
-            ctx.progress.cell_invalid(&item.spec.cell, micros);
-            ctx.journal(item.key, &item.spec.cell, journal::Status::Failed, attempts);
-            ctx.finish(
-                item,
-                Err(CellError {
-                    message: crate::reason_message(&reason),
-                    reason,
-                    kind: QuarantineKind::Invalid,
-                    attempts,
-                    micros,
-                }),
-            );
-        }
-        proto::WorkOutcome::Panic { message } => {
-            item.attempts += 1;
-            if item.attempts < budget {
-                ctx.progress.note_retry();
-                lock_clean(&ctx.queue).push_front(item);
-            } else {
-                let micros = item.elapsed();
-                let attempts = item.attempts;
-                ctx.progress.cell_failed(&item.spec.cell, micros);
-                ctx.journal(item.key, &item.spec.cell, journal::Status::Failed, attempts);
-                ctx.finish(
-                    item,
-                    Err(CellError {
-                        message,
-                        reason: Json::Null,
-                        kind: QuarantineKind::Panic,
-                        attempts,
-                        micros,
-                    }),
+            // The work rejected its own inputs: a deterministic verdict,
+            // quarantined at once.
+            Ok(proto::WorkOutcome::Invalid { reason }) => {
+                (QuarantineKind::Invalid, crate::reason_message(&reason), reason)
+            }
+            // Deterministic too — a pure function of cell identity and
+            // budget — so retrying would only reproduce it.
+            Ok(proto::WorkOutcome::Deadline { budget_units, spent_units }) => {
+                stats.cells_deadline += 1;
+                let reason = Json::obj(vec![
+                    ("kind", Json::Str("deadline".into())),
+                    ("budget_units", Json::U64(budget_units)),
+                    ("spent_units", Json::U64(spent_units)),
+                ]);
+                let message = format!(
+                    "deadline: spent {spent_units} work units over the {budget_units}-unit budget"
                 );
+                (QuarantineKind::Deadline, message, reason)
             }
-        }
-        proto::WorkOutcome::Deadline { budget_units, spent_units } => {
-            // Deterministic verdict — a pure function of cell identity
-            // and budget — so retrying would only reproduce it.
-            let micros = item.elapsed();
-            let attempts = item.attempts + 1;
-            ctx.progress.cell_deadline(&item.spec.cell, micros);
-            stats.cells_deadline += 1;
-            ctx.journal(item.key, &item.spec.cell, journal::Status::Failed, attempts);
-            let reason = Json::obj(vec![
-                ("kind", Json::Str("deadline".into())),
-                ("budget_units", Json::U64(budget_units)),
-                ("spent_units", Json::U64(spent_units)),
-            ]);
-            let message = format!(
-                "deadline: spent {spent_units} work units over the {budget_units}-unit budget"
-            );
-            ctx.finish(
-                item,
-                Err(CellError {
-                    message,
-                    reason,
-                    kind: QuarantineKind::Deadline,
-                    attempts,
-                    micros,
-                }),
-            );
-        }
-        proto::WorkOutcome::Unresolvable { message } => {
             // The worker's catalog cannot produce this cell — a config
-            // mismatch, deterministic on every retry. Quarantine as a
-            // structured rejection.
-            let micros = item.elapsed();
-            let attempts = item.attempts + 1;
-            ctx.progress.cell_invalid(&item.spec.cell, micros);
-            ctx.journal(item.key, &item.spec.cell, journal::Status::Failed, attempts);
-            let reason = Json::obj(vec![
-                ("kind", Json::Str("unresolvable-cell".into())),
-                ("message", Json::Str(message.clone())),
-            ]);
-            ctx.finish(
-                item,
-                Err(CellError { message, reason, kind: QuarantineKind::Invalid, attempts, micros }),
-            );
-        }
+            // mismatch, deterministic on every retry.
+            Ok(proto::WorkOutcome::Unresolvable { message }) => {
+                let reason = Json::obj(vec![
+                    ("kind", Json::Str("unresolvable-cell".into())),
+                    ("message", Json::Str(message.clone())),
+                ]);
+                (QuarantineKind::Invalid, message, reason)
+            }
+            Err(cause) => {
+                stats.cells_crashed += 1;
+                let reason = Json::obj(vec![
+                    ("kind", Json::Str("worker-crash".into())),
+                    ("cause", Json::Str(cause.to_string())),
+                    ("attempts", Json::U64(attempts as u64)),
+                ]);
+                let message = format!("worker crashed ({cause}) on attempt {attempts} of {budget}");
+                (QuarantineKind::Crashed, message, reason)
+            }
+        };
+        self.progress.cell_quarantined(kind, self.label(&item), micros);
+        let status = match kind {
+            QuarantineKind::Crashed => journal::Status::Crashed,
+            _ => journal::Status::Failed,
+        };
+        self.journal(&item, status, attempts);
+        self.finish(item, Err(CellError { message, reason, kind, attempts, micros }));
+        None
     }
 }
 
@@ -673,8 +669,8 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RunStatus;
-    use std::path::PathBuf;
+    use crate::testdir::tmp_dir;
+    use crate::{CellSpec, RunStatus};
 
     fn spec(cell: &str) -> CellSpec {
         CellSpec {
@@ -696,17 +692,6 @@ mod tests {
         r.verbose = false;
         r.isolate = Some(cfg);
         r
-    }
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "smi-lab-supervisor-test-{}-{}",
-            std::process::id(),
-            tag
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create tmp dir");
-        dir
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! Everything is lock-free on the hot path (atomics only); the printer
 //! takes a short mutex to serialize output lines.
 
+use crate::QuarantineKind;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -23,7 +24,7 @@ pub struct Progress {
     retries: AtomicU64,
     store_errors: AtomicU64,
     load_corruptions: AtomicU64,
-    exec_micros: AtomicU64,
+    engine_micros: AtomicU64,
     engine_events: AtomicU64,
     engine_queue_peak: AtomicU64,
     engine_runs: AtomicU64,
@@ -49,7 +50,7 @@ impl Progress {
             retries: AtomicU64::new(0),
             store_errors: AtomicU64::new(0),
             load_corruptions: AtomicU64::new(0),
-            exec_micros: AtomicU64::new(0),
+            engine_micros: AtomicU64::new(0),
             engine_events: AtomicU64::new(0),
             engine_queue_peak: AtomicU64::new(0),
             engine_runs: AtomicU64::new(0),
@@ -72,60 +73,27 @@ impl Progress {
 
     /// Record one finished cell and maybe print a progress line.
     pub fn cell_done(&self, cell: &str, micros: u64, was_cached: bool) {
-        let done = self.done.fetch_add(1, Ordering::AcqRel) + 1;
         if was_cached {
             self.cached.fetch_add(1, Ordering::AcqRel);
-        } else {
-            self.exec_micros.fetch_add(micros, Ordering::AcqRel);
         }
-        let bucket = (64 - micros.max(1).leading_zeros() as usize - 1).min(HISTO_BUCKETS - 1);
-        self.histo[bucket].fetch_add(1, Ordering::AcqRel);
-        self.maybe_print(done, cell);
+        self.count_done(cell, micros);
     }
 
-    /// Record one terminally-failed (quarantined) cell: it still counts
-    /// toward `done` — the campaign drains past it — but its latency is
-    /// executed time, not useful throughput.
-    pub fn cell_failed(&self, cell: &str, micros: u64) {
-        let done = self.done.fetch_add(1, Ordering::AcqRel) + 1;
-        self.failed.fetch_add(1, Ordering::AcqRel);
-        self.exec_micros.fetch_add(micros, Ordering::AcqRel);
-        let bucket = (64 - micros.max(1).leading_zeros() as usize - 1).min(HISTO_BUCKETS - 1);
-        self.histo[bucket].fetch_add(1, Ordering::AcqRel);
-        self.maybe_print(done, cell);
+    /// Record one quarantined cell under its kind's fault counter. It
+    /// still counts toward `done` — the campaign drains past it.
+    pub fn cell_quarantined(&self, kind: QuarantineKind, cell: &str, micros: u64) {
+        let counter = match kind {
+            QuarantineKind::Panic => &self.failed,
+            QuarantineKind::Invalid => &self.invalid,
+            QuarantineKind::Crashed => &self.crashed,
+            QuarantineKind::Deadline => &self.deadline,
+        };
+        counter.fetch_add(1, Ordering::AcqRel);
+        self.count_done(cell, micros);
     }
 
-    /// Record one cell quarantined as *invalid* (its work rejected its
-    /// own inputs with a structured reason — no retries). Counts toward
-    /// `done` like any other drain-past quarantine.
-    pub fn cell_invalid(&self, cell: &str, micros: u64) {
+    fn count_done(&self, cell: &str, micros: u64) {
         let done = self.done.fetch_add(1, Ordering::AcqRel) + 1;
-        self.invalid.fetch_add(1, Ordering::AcqRel);
-        self.exec_micros.fetch_add(micros, Ordering::AcqRel);
-        let bucket = (64 - micros.max(1).leading_zeros() as usize - 1).min(HISTO_BUCKETS - 1);
-        self.histo[bucket].fetch_add(1, Ordering::AcqRel);
-        self.maybe_print(done, cell);
-    }
-
-    /// Record one cell quarantined because every attempt died with its
-    /// worker process (isolated mode). Counts toward `done` like any
-    /// other drain-past quarantine.
-    pub fn cell_crashed(&self, cell: &str, micros: u64) {
-        let done = self.done.fetch_add(1, Ordering::AcqRel) + 1;
-        self.crashed.fetch_add(1, Ordering::AcqRel);
-        self.exec_micros.fetch_add(micros, Ordering::AcqRel);
-        let bucket = (64 - micros.max(1).leading_zeros() as usize - 1).min(HISTO_BUCKETS - 1);
-        self.histo[bucket].fetch_add(1, Ordering::AcqRel);
-        self.maybe_print(done, cell);
-    }
-
-    /// Record one cell quarantined by the deterministic work-unit
-    /// deadline (isolated mode). No retries — the verdict is a pure
-    /// function of the cell identity and the budget.
-    pub fn cell_deadline(&self, cell: &str, micros: u64) {
-        let done = self.done.fetch_add(1, Ordering::AcqRel) + 1;
-        self.deadline.fetch_add(1, Ordering::AcqRel);
-        self.exec_micros.fetch_add(micros, Ordering::AcqRel);
         let bucket = (64 - micros.max(1).leading_zeros() as usize - 1).min(HISTO_BUCKETS - 1);
         self.histo[bucket].fetch_add(1, Ordering::AcqRel);
         self.maybe_print(done, cell);
@@ -192,8 +160,14 @@ impl Progress {
     }
 
     /// Fold one executed cell's harvested engine counters into the run
-    /// totals: event and run counts sum, the queue peak is a max.
-    pub fn note_engine(&self, perf: crate::EnginePerf) {
+    /// totals: event and run counts sum, the queue peak is a max. The
+    /// cell's wall time joins the ns/event denominator only when its
+    /// probe harvested at least one engine run, so cells that never
+    /// touch the engine (figure1, x-detect) do not inflate the figure.
+    pub fn note_engine(&self, perf: crate::EnginePerf, micros: u64) {
+        if perf.runs > 0 {
+            self.engine_micros.fetch_add(micros, Ordering::AcqRel);
+        }
         self.engine_events.fetch_add(perf.events_popped, Ordering::AcqRel);
         self.engine_queue_peak.fetch_max(perf.queue_peak, Ordering::AcqRel);
         self.engine_runs.fetch_add(perf.runs, Ordering::AcqRel);
@@ -208,10 +182,10 @@ impl Progress {
         }
     }
 
-    /// Total executed (non-cached, non-quarantined-attempt) wall time in
+    /// Wall time of the executed cells that ran the engine, in
     /// microseconds — the denominator for ns/event.
-    pub fn exec_micros_total(&self) -> u64 {
-        self.exec_micros.load(Ordering::Acquire)
+    pub fn engine_micros(&self) -> u64 {
+        self.engine_micros.load(Ordering::Acquire)
     }
 
     /// A snapshot of every fault counter.
@@ -440,10 +414,10 @@ mod tests {
         p.cell_done("a", 10, false);
         p.note_retry();
         p.note_retry();
-        p.cell_failed("b", 20);
-        p.cell_invalid("c", 30);
-        p.cell_crashed("d", 40);
-        p.cell_deadline("e", 50);
+        p.cell_quarantined(QuarantineKind::Panic, "b", 20);
+        p.cell_quarantined(QuarantineKind::Invalid, "c", 30);
+        p.cell_quarantined(QuarantineKind::Crashed, "d", 40);
+        p.cell_quarantined(QuarantineKind::Deadline, "e", 50);
         p.note_store_error();
         p.note_load_corruption();
         assert_eq!(
@@ -494,7 +468,7 @@ mod tests {
         assert!(p.print.as_ref().unwrap().lock().is_err(), "lock must actually be poisoned");
         // Both print paths must keep working through the poison.
         p.cell_done("a", 10, false);
-        p.cell_failed("b", 20);
+        p.cell_quarantined(QuarantineKind::Panic, "b", 20);
         p.print_summary("poisoned");
         assert_eq!(p.totals().0, 2);
     }

@@ -450,15 +450,7 @@ fn publish(tmp: &Path, path: &Path) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
-
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("smi-lab-vfs-test-{}-{}", std::process::id(), tag));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create tmp dir");
-        dir
-    }
+    use crate::testdir::tmp_dir;
 
     #[test]
     fn real_vfs_round_trips_and_counts_ops() {

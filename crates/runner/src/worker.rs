@@ -64,7 +64,7 @@ pub fn serve_io<R: Read, W: Write>(
         match msg {
             proto::ToWorker::Shutdown => return 0,
             proto::ToWorker::Run { id, attempt: _, budget_units, spec } => {
-                let outcome = run_one(&cells, &index, &perf_probe, budget_units, &spec);
+                let outcome = resolve_and_run(&cells, &index, &perf_probe, budget_units, &spec);
                 let done = proto::FromWorker::Done { id, outcome };
                 if writer.write(&done.to_json()).is_err() {
                     return 1;
@@ -74,10 +74,9 @@ pub fn serve_io<R: Read, W: Write>(
     }
 }
 
-/// Execute one dispatched cell: resolve it against the catalog, bracket
-/// it with the perf probe, run it once under `catch_unwind`, and apply
-/// the deterministic work-unit budget.
-fn run_one(
+/// Resolve one dispatched cell against the catalog and run it. A cell
+/// the catalog cannot produce is [`proto::WorkOutcome::Unresolvable`].
+fn resolve_and_run(
     cells: &[Cell],
     index: &BTreeMap<(String, String), usize>,
     perf_probe: &Option<PerfProbe>,
@@ -106,18 +105,31 @@ fn run_one(
             ),
         };
     }
-    // Discard counters accumulated before this cell so the harvest below
-    // is attributable to exactly the work we are about to run.
+    run_one(cell, perf_probe.as_ref(), budget_units)
+}
+
+/// Execute one attempt of a cell: bracket it with the perf probe, run
+/// it once under `catch_unwind`, and apply the deterministic work-unit
+/// budget (`0` = none). Both executors of the dispatch loop call this —
+/// a worker subprocess for each `Run` frame, a thread slot directly —
+/// so the two report the same [`proto::WorkOutcome`] for the same cell.
+pub(crate) fn run_one(
+    cell: &Cell,
+    perf_probe: Option<&PerfProbe>,
+    budget_units: u64,
+) -> proto::WorkOutcome {
+    // Discard counters accumulated before this attempt so the harvest
+    // below is attributable to exactly the work we are about to run.
     if let Some(probe) = perf_probe {
         let _ = probe();
     }
     let work = &cell.work;
-    // AssertUnwindSafe: same argument as the in-process runner — the
-    // closure is `Fn` over owned captures and a failed attempt discards
-    // nothing but itself.
+    // AssertUnwindSafe: the closure is `Fn` over owned captures and a
+    // failed attempt discards nothing but itself; the payload of a later
+    // successful attempt is a pure function of the cell identity.
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(work)) {
         Ok(Ok(payload)) => {
-            let perf = perf_probe.as_ref().map(|p| p()).unwrap_or_default();
+            let perf = perf_probe.map(|p| p()).unwrap_or_default();
             if budget_units > 0 && perf.events_popped > budget_units {
                 proto::WorkOutcome::Deadline { budget_units, spent_units: perf.events_popped }
             } else {

@@ -3,20 +3,13 @@
 //! (recompute and count — never panic, never return bad data), unique
 //! temp-file naming under concurrent stores, and orphan sweeping.
 
+mod common;
+use common::tmp_dir;
 use jsonio::Json;
 use runner::cache::{cell_key, entry_path, load, store, sweep_orphans, Lookup};
 use runner::{CacheMode, Cell, CellSpec, Runner};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("smi-lab-cache-behavior-{}-{}", std::process::id(), tag));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create tmp cache dir");
-    dir
-}
 
 fn spec(cell: &str, seed: u64, reps: u32) -> CellSpec {
     CellSpec {

@@ -6,19 +6,13 @@
 
 #![cfg(feature = "chaos")]
 
+mod common;
+use common::tmp_dir;
 use jsonio::Json;
 use runner::chaos::{self, ChaosPlan, Fault};
 use runner::{cache, Cell, CellSpec, RunReport, RunStatus, Runner};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("smi-lab-chaos-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create tmp cache dir");
-    dir
-}
 
 fn campaign(n: u64, executions: &Arc<AtomicU64>) -> Vec<Cell> {
     (0..n)

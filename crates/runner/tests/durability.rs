@@ -6,21 +6,15 @@
 //! family is covered by `journal_resume.rs` and the planted-damage fsck
 //! unit test; here every *filesystem* family gets the same treatment.)
 
+mod common;
+use common::tmp_dir;
 use jsonio::Json;
 use runner::store;
 use runner::vfs::{FaultKind, FaultPlan, OpKind, Vfs};
 use runner::{Cell, CellSpec, RunStatus, Runner};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("smi-lab-durability-{}-{}", std::process::id(), tag));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create tmp cache dir");
-    dir
-}
 
 fn campaign(range: std::ops::Range<u64>, executions: &Arc<AtomicU64>) -> Vec<Cell> {
     range

@@ -6,11 +6,13 @@
 
 #![cfg(feature = "chaos")]
 
+mod common;
+use common::tmp_dir;
 use jsonio::Json;
+use runner::chaos::{self, ChaosPlan, Fault};
 use runner::supervisor::IsolateConfig;
 use runner::testcells::{fixture_cells, fixture_probe};
 use runner::{journal, CacheMode, RunReport, RunStatus, Runner};
-use std::path::PathBuf;
 
 const SEED: u64 = 3;
 
@@ -27,13 +29,6 @@ fn worker_cmd(cells: u64, faults: &str) -> Vec<String> {
         cmd.push(faults.to_string());
     }
     cmd
-}
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("smi-lab-isolate-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create tmp cache dir");
-    dir
 }
 
 /// An isolated runner with test-friendly supervision timings.
@@ -293,4 +288,108 @@ fn mismatched_worker_catalog_is_a_structured_rejection() {
     }
     let iso = report.isolate.as_ref().expect("accounting");
     assert_eq!(iso.workers.iter().map(|w| w.crashes).sum::<u64>(), 0);
+}
+
+/// What a campaign settled, per cell and in total: everything that must
+/// not depend on which executor ran the cells.
+fn settled(report: &RunReport, dir: &std::path::Path) -> Vec<String> {
+    let journal = journal::Journal::load(&journal::journal_path(dir, &report.label));
+    let mut lines: Vec<String> = report
+        .outcomes
+        .iter()
+        .map(|o| {
+            let quarantine = o
+                .result
+                .as_ref()
+                .err()
+                .map(|e| (e.kind.label(), e.attempts, e.message.clone(), e.reason.to_string()));
+            format!("{} {:?} journal={:?}", o.spec.cell, quarantine, journal.status(o.key))
+        })
+        .collect();
+    lines.push(format!(
+        "total={} cached={} failed={} invalid={} crashed={} deadline={} retries={} events={}",
+        report.cells_total,
+        report.cells_cached,
+        report.cells_failed,
+        report.cells_invalid,
+        report.cells_crashed,
+        report.cells_deadline,
+        report.retries,
+        report.engine.events_popped,
+    ));
+    lines
+}
+
+#[test]
+fn thread_and_process_slots_settle_every_fault_identically() {
+    // The regression gate for the single dispatch path: one fault plan
+    // (a transient panic, a permanent panic, an invalid cell) run on
+    // thread slots and on `chaos-worker` processes must settle every
+    // cell the same way — records, quarantine kind/attempts/reason,
+    // retries, counters, and the journal's final status per key.
+    chaos::quiet_injected_panics();
+    let mut plan = ChaosPlan::calm(0);
+    plan.pinned = vec![
+        ("c1".into(), Fault::PanicFirst(1)),
+        ("c3".into(), Fault::PanicAlways),
+        ("c5".into(), Fault::Invalid),
+    ];
+
+    let thread_dir = tmp_dir("parity-threads");
+    let mut threads = Runner::new(2);
+    threads.cache_dir = thread_dir.clone();
+    threads.verbose = false;
+    threads.perf_probe = Some(fixture_probe());
+    let on_threads = threads.run("parity", chaos::afflict(&plan, fixture_cells(8, SEED)));
+    assert!(on_threads.isolate.is_none());
+
+    let process_dir = tmp_dir("parity-processes");
+    let mut cfg = IsolateConfig::new(worker_cmd(8, "c1=panic1;c3=panic;c5=invalid"));
+    cfg.workers = 2;
+    cfg.backoff_ms = 1;
+    let mut processes = Runner::new(2);
+    processes.cache_dir = process_dir.clone();
+    processes.verbose = false;
+    processes.isolate = Some(cfg);
+    let on_processes = processes.run("parity", fixture_cells(8, SEED));
+
+    assert_eq!(on_threads.status(), RunStatus::Failed, "the permanent panic fails the run");
+    assert_eq!(on_processes.status(), on_threads.status());
+    assert_eq!(on_processes.records_jsonl(), on_threads.records_jsonl());
+    assert_eq!(settled(&on_processes, &process_dir), settled(&on_threads, &thread_dir));
+    assert_eq!(on_threads.retries, 3, "c1 retries once, c3 twice");
+    let iso = on_processes.isolate.as_ref().expect("supervision accounting");
+    assert_eq!(iso.workers.iter().map(|w| w.crashes).sum::<u64>(), 0, "a panic is not a crash");
+    let _ = std::fs::remove_dir_all(&thread_dir);
+    let _ = std::fs::remove_dir_all(&process_dir);
+}
+
+#[test]
+fn process_slots_spawn_workers_only_for_misses() {
+    // Store lookups happen in the slots before any worker is needed: on
+    // a cold pass each slot that takes a miss spawns one worker, and a
+    // fully cached pass spawns none.
+    let dir = tmp_dir("spawn-on-miss");
+    let mut runner = isolated_runner(8, "", 2);
+    runner.cache_mode = CacheMode::ReadWrite;
+    runner.cache_dir = dir.clone();
+    let spawns = |report: &RunReport| {
+        report.isolate.as_ref().expect("accounting").workers.iter().map(|w| w.spawns).sum::<u64>()
+    };
+    let cold = runner.run("iso-spawn", fixture_cells(8, SEED));
+    assert_eq!(cold.status(), RunStatus::Clean);
+    let iso = cold.isolate.as_ref().expect("accounting");
+    for w in &iso.workers {
+        assert_eq!(
+            w.spawns,
+            u64::from(w.cells_ok > 0),
+            "a slot starts its worker on its first miss"
+        );
+    }
+    assert!(spawns(&cold) >= 1);
+    let warm = runner.run("iso-spawn", fixture_cells(8, SEED));
+    assert_eq!(warm.cells_cached, 8);
+    assert_eq!(spawns(&warm), 0, "an all-hit pass spawns no worker");
+    assert_eq!(warm.records_jsonl(), cold.records_jsonl());
+    let _ = std::fs::remove_dir_all(&dir);
 }

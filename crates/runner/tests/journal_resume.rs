@@ -3,20 +3,13 @@
 //! the cells that "never ran") resumes recomputing exactly the missing
 //! cells, and the journal read-back accounts for the prior progress.
 
+mod common;
+use common::tmp_dir;
 use jsonio::Json;
 use runner::journal::{journal_path, Journal, Status};
 use runner::{cache, Cell, CellSpec, Runner};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("smi-lab-journal-resume-{}-{}", std::process::id(), tag));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create tmp cache dir");
-    dir
-}
 
 fn campaign(n: u64, executions: &Arc<AtomicU64>) -> Vec<Cell> {
     (0..n)
